@@ -18,10 +18,11 @@ pub const ACTION_DISPATCH_WARM: SimDuration = SimDuration::from_nanos(100);
 /// consults the dirty log, but performs no register access or transfer.
 pub const ACTION_RESIDENT_SKIP: SimDuration = SimDuration::from_nanos(20);
 
-/// Hashing throughput for the residency hash fallback (verifying a dump's
-/// backing memory is byte-identical when the dirty log overflowed),
-/// bytes/sec. Faster than an upload — it reads DRAM once and does ALU
-/// work — but far from free, which is why the log is the primary proof.
+/// Throughput of the residency compare fallback (checking a dump's backing
+/// memory byte for byte against the loaded dump when the dirty log
+/// overflowed), bytes/sec. Faster than an upload — it reads DRAM once and
+/// compares — but far from free, which is why the log is the primary
+/// proof.
 pub const HASH_BW: f64 = 8.0e9;
 
 /// Static verification per action (§5.1).

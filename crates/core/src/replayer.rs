@@ -3,10 +3,9 @@
 use std::collections::HashMap;
 
 use gr_gpu::machine::WaitOutcome;
-use gr_recording::{Action, Recording};
-use gr_sim::trace::fnv1a;
+use gr_recording::{Action, Recording, MAX_DUMP_BYTES};
 use gr_sim::{SimDuration, SimTime};
-use gr_soc::{DirtyMark, IrqLine};
+use gr_soc::{DirtyMark, IrqLine, PAGE_SIZE};
 
 use crate::costs;
 use crate::env::Environment;
@@ -17,8 +16,9 @@ use crate::nano::NanoDriver;
 use crate::verify;
 
 /// Default cap on physical pages a recording may map (§5.1: "apps or the
-/// replayer can reject memory-hungry recordings").
-pub const DEFAULT_MAX_PAGES: u64 = 24 * 1024; // 96 MiB
+/// replayer can reject memory-hungry recordings"): the container's dump
+/// cap in pages, so the two cannot drift.
+pub const DEFAULT_MAX_PAGES: u64 = (MAX_DUMP_BYTES / PAGE_SIZE) as u64;
 
 /// Maximum §5.4 re-execution attempts before giving up.
 pub const MAX_ATTEMPTS: u32 = 3;
@@ -143,13 +143,13 @@ pub struct BatchReport {
     /// of these actually executed this batch — the rest were elided by
     /// cross-batch warm residency.
     pub prologue_actions: usize,
-    /// Prologue actions elided because the dirty log (or its hash
+    /// Prologue actions elided because the dirty log (or its compare
     /// fallback) proved their backing memory unchanged since the previous
     /// batch of the same recording on this warm machine.
     pub prologue_skipped: usize,
     /// Dump bytes a *resident* batch re-uploaded to re-establish the
     /// post-prologue memory image: only the log-proven dirty subranges of
-    /// each dump (or a whole dump on a hash-fallback mismatch). Always 0
+    /// each dump (or a whole dump on a compare-fallback mismatch). Always 0
     /// for a non-resident batch, which uploads everything via the full
     /// prologue instead.
     pub resident_reupload_bytes: u64,
@@ -178,9 +178,6 @@ struct Loaded {
     /// Verifier fact: the prologue's shape admits cross-batch residency
     /// (see `VerifyReport::residency_safe`).
     residency_safe: bool,
-    /// FNV-1a over each dump's bytes, the static side of the residency
-    /// hash fallback (dump content never changes after load).
-    dump_hashes: Vec<u64>,
 }
 
 /// Cross-batch warm residency: what the previous successful warm batch of
@@ -314,14 +311,12 @@ impl Replayer {
         self.env
             .machine()
             .advance(costs::VERIFY_PER_ACTION * report.actions as u64);
-        let dump_hashes = rec.dumps.iter().map(|d| fnv1a(&d.bytes)).collect();
         self.loaded.push(Loaded {
             rec,
             dead_uploads: report.dead_uploads.into_iter().collect(),
             batch_split: report.batch_split,
             prologue_ranges: report.prologue_ranges,
             residency_safe: report.residency_safe,
-            dump_hashes,
         });
         Ok(self.loaded.len() - 1)
     }
@@ -530,7 +525,7 @@ impl Replayer {
 
         // Cross-batch warm residency: when the previous successful warm
         // batch was this same recording and the dirty log proves (or its
-        // hash fallback verifies) the prologue's backing memory unchanged,
+        // compare fallback verifies) the prologue's backing memory unchanged,
         // elide the prologue instead of re-establishing state. Taking the
         // anchor here means any error return below leaves residency
         // dropped — only a fully successful batch re-arms it.
@@ -692,8 +687,8 @@ impl Replayer {
     /// * subranges the suffix overwrites before any read, and bytes a
     ///   later prologue upload covers, skip restoration — nothing can
     ///   observe them before their final content is re-established;
-    /// * `Unknown` verdicts (log overflowed past the mark) fall back to a
-    ///   content hash against the dump's load-time hash — a match keeps
+    /// * `Unknown` verdicts (log overflowed past the mark) fall back to
+    ///   comparing the range with the loaded dump — a match keeps
     ///   the action elided, a mismatch (or an overlapped dump, whose
     ///   post-prologue content is not its own bytes) re-uploads the whole
     ///   dump.
@@ -746,12 +741,13 @@ impl Replayer {
             }
             if unknown {
                 if pr.hash_skippable {
-                    // The log cannot answer (overflow): verify content
-                    // against the dump's load-time hash, charging the read.
+                    // The log cannot answer (overflow): compare the range
+                    // with the loaded dump byte for byte, charging the read
+                    // (`hash_skippable` guarantees equal lengths).
                     machine.advance(costs::xfer(pr.len, costs::HASH_BW));
                     let mut buf = vec![0u8; pr.len as usize];
                     self.nano.read_va(pr.va, &mut buf)?;
-                    if fnv1a(&buf) != self.loaded[id].dump_hashes[pr.upload as usize] {
+                    if buf != self.loaded[id].rec.dumps[pr.upload as usize].bytes {
                         let mut whole = IntervalSet::new();
                         whole.insert(pr.va, pr.va + pr.len);
                         plans.push((pr.index, pr.upload, whole));
@@ -789,7 +785,7 @@ impl Replayer {
         // Dead-write elision across the prologue: `residency_safe`
         // guarantees nothing but uploads follow the first upload, so a
         // byte covered by any *later* upload either gets rewritten by
-        // that upload's plan or already holds its (clean/hash-proven)
+        // that upload's plan or already holds its (clean/compare-proven)
         // bytes — exactly the post-prologue content. Earlier uploads need
         // not restore such bytes. (The v3d recorder re-dumps its
         // control-list page per job: 8 overlapping single-page uploads

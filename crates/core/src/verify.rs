@@ -69,8 +69,9 @@ pub struct PrologueRange {
     pub upload: u32,
     /// `Upload` only: `true` when no *later* prologue upload overlaps this
     /// dump's range, so the post-prologue content of the range equals the
-    /// dump bytes and a static content hash can stand in for the dirty
-    /// log when it overflowed. Overlapped dumps must re-upload instead.
+    /// dump bytes and comparing the range with the dump can stand in for
+    /// the dirty log when it overflowed. Overlapped dumps must re-upload
+    /// instead.
     pub hash_skippable: bool,
 }
 
@@ -93,7 +94,7 @@ fn annotate_prologue(rec: &Recording, split: usize) -> Vec<PrologueRange> {
             let Some(ld) = rec.dumps.get(*later_d as usize) else {
                 return true;
             };
-            // Disjoint ranges keep the hash meaningful.
+            // Disjoint ranges keep the comparison meaningful.
             ld.va >= va + len || ld.va + ld.bytes.len() as u64 <= va
         });
         out.push(PrologueRange {

@@ -143,16 +143,31 @@ pub fn grz_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Reads the uncompressed length from a GRZ stream's header, so a caller
+/// can bound a stream before decompressing it.
+///
+/// # Errors
+///
+/// Returns [`GrzError::BadHeader`] when the magic or length is missing.
+pub(crate) fn grz_len(stream: &[u8]) -> Result<usize, GrzError> {
+    match stream.get(..8) {
+        Some(h) if &h[..4] == MAGIC => {
+            Ok(u32::from_le_bytes(h[4..].try_into().expect("len checked")) as usize)
+        }
+        _ => Err(GrzError::BadHeader),
+    }
+}
+
 /// Decompresses a GRZ stream.
+///
+/// Literal groups and matches are copied in bulk; a match that would run
+/// past the header's length is rejected before any of it is written.
 ///
 /// # Errors
 ///
 /// Returns [`GrzError`] for malformed streams.
 pub fn grz_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
-    if stream.len() < 8 || &stream[0..4] != MAGIC {
-        return Err(GrzError::BadHeader);
-    }
-    let out_len = u32::from_le_bytes(stream[4..8].try_into().expect("len checked")) as usize;
+    let out_len = grz_len(stream)?;
     let mut out = Vec::with_capacity(out_len);
     let mut pos = 8usize;
     while out.len() < out_len {
@@ -160,27 +175,40 @@ pub fn grz_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
             return Err(GrzError::Truncated);
         };
         pos += 1;
+        if flag == 0 {
+            // Eight literals (fewer when the output ends inside the group).
+            let n = (out_len - out.len()).min(8);
+            let lits = stream.get(pos..pos + n).ok_or(GrzError::Truncated)?;
+            out.extend_from_slice(lits);
+            pos += n;
+            continue;
+        }
         for t in 0..8 {
             if out.len() >= out_len {
                 break;
             }
             if flag & (1 << t) != 0 {
-                if pos + 3 > stream.len() {
+                let Some(&[b0, b1, b2]) = stream.get(pos..pos + 3) else {
                     return Err(GrzError::Truncated);
-                }
-                let b0 = stream[pos] as usize;
-                let b1 = stream[pos + 1] as usize;
-                let b2 = stream[pos + 2] as usize;
+                };
                 pos += 3;
+                let (b0, b1, b2) = (usize::from(b0), usize::from(b1), usize::from(b2));
                 let dist = ((b0 << 4) | (b1 >> 4)) + 1;
                 let len = (((b1 & 0xF) << 8) | b2) + MIN_MATCH;
                 if dist > out.len() {
                     return Err(GrzError::BadMatch);
                 }
+                if out.len() + len > out_len {
+                    return Err(GrzError::LengthMismatch);
+                }
+                // An overlapping match (dist < len) repeats its source with
+                // period `dist`: each chunk copies everything written since
+                // `start`, a multiple of `dist`, so the chunks double.
                 let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let end = out.len() + len;
+                while out.len() < end {
+                    let n = (out.len() - start).min(end - out.len());
+                    out.extend_from_within(start..start + n);
                 }
             } else {
                 let Some(&b) = stream.get(pos) else {
@@ -191,9 +219,6 @@ pub fn grz_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
             }
         }
     }
-    if out.len() != out_len {
-        return Err(GrzError::LengthMismatch);
-    }
     Ok(out)
 }
 
@@ -201,6 +226,96 @@ pub fn grz_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The byte-at-a-time decoder `grz_decompress` replaced, kept as the
+    /// reference for the differential properties below.
+    fn reference_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
+        if stream.len() < 8 || &stream[0..4] != MAGIC {
+            return Err(GrzError::BadHeader);
+        }
+        let out_len = u32::from_le_bytes(stream[4..8].try_into().expect("len checked")) as usize;
+        let mut out = Vec::with_capacity(out_len);
+        let mut pos = 8usize;
+        while out.len() < out_len {
+            let Some(&flag) = stream.get(pos) else {
+                return Err(GrzError::Truncated);
+            };
+            pos += 1;
+            for t in 0..8 {
+                if out.len() >= out_len {
+                    break;
+                }
+                if flag & (1 << t) != 0 {
+                    if pos + 3 > stream.len() {
+                        return Err(GrzError::Truncated);
+                    }
+                    let b0 = stream[pos] as usize;
+                    let b1 = stream[pos + 1] as usize;
+                    let b2 = stream[pos + 2] as usize;
+                    pos += 3;
+                    let dist = ((b0 << 4) | (b1 >> 4)) + 1;
+                    let len = (((b1 & 0xF) << 8) | b2) + MIN_MATCH;
+                    if dist > out.len() {
+                        return Err(GrzError::BadMatch);
+                    }
+                    let start = out.len() - dist;
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                } else {
+                    let Some(&b) = stream.get(pos) else {
+                        return Err(GrzError::Truncated);
+                    };
+                    pos += 1;
+                    out.push(b);
+                }
+            }
+        }
+        if out.len() != out_len {
+            return Err(GrzError::LengthMismatch);
+        }
+        Ok(out)
+    }
+
+    fn same_as_reference(stream: &[u8]) {
+        assert_eq!(grz_decompress(stream), reference_decompress(stream));
+    }
+
+    /// Encodes `tokens` as a GRZ stream whose header claims
+    /// `encoded + len_delta` bytes: `(false, b)` is the literal `b`,
+    /// `(true, x)` a match with distance `(x >> 12) + 1` and length
+    /// `(x & 0xFFF) + 3`, which may reach before the output's start.
+    fn token_stream(tokens: &[(bool, u32)], len_delta: i64) -> Vec<u8> {
+        let mut produced = 0i64;
+        let mut body = Vec::new();
+        for group in tokens.chunks(8) {
+            let mut flag = 0u8;
+            let mut bytes = Vec::new();
+            for (t, &(is_match, x)) in group.iter().enumerate() {
+                if is_match {
+                    let (d, l) = ((x >> 12) & 0xFFF, x & 0xFFF);
+                    flag |= 1 << t;
+                    bytes.extend_from_slice(&[
+                        (d >> 4) as u8,
+                        ((d & 0xF) << 4 | l >> 8) as u8,
+                        l as u8,
+                    ]);
+                    produced += i64::from(l) + MIN_MATCH as i64;
+                } else {
+                    bytes.push(x as u8);
+                    produced += 1;
+                }
+            }
+            body.push(flag);
+            body.extend_from_slice(&bytes);
+        }
+        let claimed = (produced + len_delta).max(0) as u32;
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&claimed.to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
 
     fn roundtrip(data: &[u8]) {
         let z = grz_compress(data);
@@ -307,6 +422,62 @@ mod tests {
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             roundtrip(&data);
+        }
+
+        #[test]
+        fn prop_decoder_matches_reference_on_compressed_streams(
+            runs in proptest::collection::vec((any::<u8>(), 1usize..6000), 0..12),
+            periods in proptest::collection::vec((1usize..24, 1usize..600), 0..12)
+        ) {
+            // Long runs (zero pages) and short periodic patterns produce
+            // overlapping matches; literals sit between them.
+            let mut data = Vec::new();
+            for ((b, n), (p, m)) in runs.iter().zip(&periods) {
+                data.extend(std::iter::repeat(*b).take(*n));
+                let pattern: Vec<u8> = (0..*p).map(|i| b.wrapping_add((i as u8).wrapping_mul(37))).collect();
+                data.extend(pattern.iter().cycle().take(*m));
+            }
+            let z = grz_compress(&data);
+            assert_eq!(grz_decompress(&z).as_deref(), Ok(&data[..]));
+            same_as_reference(&z);
+        }
+
+        #[test]
+        fn prop_decoder_matches_reference_on_token_streams(
+            tokens in proptest::collection::vec((any::<bool>(), 0u32..(1 << 24)), 0..96),
+            short_dist in any::<bool>(),
+            len_delta in 0u32..64
+        ) {
+            // Near-origin distances keep most matches valid; the header
+            // length is off by up to ±32, so streams also run short
+            // (truncated), end early or overrun the claimed length.
+            let tokens: Vec<(bool, u32)> = tokens
+                .into_iter()
+                .map(|(m, x)| (m, if short_dist { x & 0x01F_FFF } else { x }))
+                .collect();
+            same_as_reference(&token_stream(&tokens, i64::from(len_delta) - 32));
+        }
+
+        #[test]
+        fn prop_decoder_matches_reference_on_mutated_streams(
+            data in proptest::collection::vec(0u8..4, 0..3000),
+            edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            cut in any::<usize>(),
+            raw in proptest::collection::vec(any::<u8>(), 0..64)
+        ) {
+            let z = grz_compress(&data);
+            let mut m = z.clone();
+            for (at, b) in &edits {
+                let at = at % m.len();
+                m[at] ^= b;
+            }
+            same_as_reference(&m);
+            same_as_reference(&z[..cut % (z.len() + 1)]);
+            // Arbitrary bytes behind a valid magic, and with none.
+            let mut a = MAGIC.to_vec();
+            a.extend_from_slice(&raw);
+            same_as_reference(&a);
+            same_as_reference(&raw);
         }
 
         #[test]

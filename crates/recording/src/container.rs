@@ -6,12 +6,20 @@
 //! only (de)serialization paths; the replayer's verifier re-checks the
 //! checksum and every structural invariant on load.
 
+use gr_sim::trace::fnv1a;
+
 use crate::action::{Action, TimedAction};
-use crate::codec::{grz_compress, grz_decompress, GrzError};
+use crate::codec::{grz_compress, grz_decompress, grz_len, GrzError};
 use crate::meta::{Dump, IoSlot, RecordingMeta};
 
 const MAGIC: &[u8; 4] = b"GREC";
 const VERSION: u32 = 1;
+
+/// Cap on a recording's total uncompressed dump bytes (96 MiB).
+/// [`Recording::from_bytes`] rejects a larger dump section before it
+/// decompresses anything; the replayer derives its physical-page cap from
+/// this value.
+pub const MAX_DUMP_BYTES: usize = 96 << 20;
 
 /// A complete recording: everything needed to reproduce a fixed sequence
 /// of GPU jobs on new input.
@@ -46,6 +54,9 @@ pub enum ContainerError {
     Dump(GrzError),
     /// A string field was not valid UTF-8.
     BadString,
+    /// The dump section claims more than [`MAX_DUMP_BYTES`] uncompressed
+    /// bytes.
+    DumpTooLarge(usize),
 }
 
 impl std::fmt::Display for ContainerError {
@@ -58,6 +69,12 @@ impl std::fmt::Display for ContainerError {
             ContainerError::BadAction(t) => write!(f, "unknown action tag {t}"),
             ContainerError::Dump(e) => write!(f, "dump section: {e}"),
             ContainerError::BadString => write!(f, "invalid utf-8 in recording"),
+            ContainerError::DumpTooLarge(n) => {
+                write!(
+                    f,
+                    "dump section of {n} bytes exceeds the {MAX_DUMP_BYTES}-byte cap"
+                )
+            }
         }
     }
 }
@@ -68,15 +85,6 @@ impl From<GrzError> for ContainerError {
     fn from(e: GrzError) -> Self {
         ContainerError::Dump(e)
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[derive(Default)]
@@ -145,9 +153,9 @@ impl<'a> R<'a> {
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| ContainerError::BadString)
     }
-    fn bytes(&mut self) -> Result<Vec<u8>, ContainerError> {
+    fn bytes(&mut self) -> Result<&'a [u8], ContainerError> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 }
 
@@ -248,13 +256,7 @@ impl Recording {
             payload.extend_from_slice(&d.bytes);
         }
         p.bytes(&grz_compress(&payload));
-
-        let mut out = Vec::with_capacity(p.buf.len() + 20);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&p.buf).to_le_bytes());
-        out.extend_from_slice(&p.buf);
-        out
+        seal(&p.buf)
     }
 
     /// Parses a container, verifying checksum and structure.
@@ -358,12 +360,18 @@ impl Recording {
         for _ in 0..n_dumps {
             headers.push((r.u64()?, r.u32()? as usize));
         }
+        // Bound the dump section by its headers before decompressing it:
+        // the stream's claimed length is attacker-chosen.
         let blob = r.bytes()?;
-        let payload = grz_decompress(&blob)?;
+        let claimed = grz_len(blob)?;
+        if claimed > MAX_DUMP_BYTES {
+            return Err(ContainerError::DumpTooLarge(claimed));
+        }
         let total: usize = headers.iter().map(|(_, l)| *l).sum();
-        if total != payload.len() {
+        if total != claimed {
             return Err(ContainerError::Truncated);
         }
+        let payload = grz_decompress(blob)?;
         let mut dumps = Vec::with_capacity(headers.len());
         let mut off = 0usize;
         for (va, len) in headers {
@@ -382,6 +390,16 @@ impl Recording {
             outputs,
         })
     }
+}
+
+/// Frames a payload: magic, version, payload checksum, payload.
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 16);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
 #[cfg(test)]
@@ -516,6 +534,75 @@ mod tests {
         for cut in (0..bytes.len()).step_by(97) {
             assert!(Recording::from_bytes(&bytes[..cut]).is_err(), "cut={cut}");
         }
+    }
+
+    /// A checksum-valid container with no actions or slots whose dump
+    /// section is `headers` (VA, length) and the GRZ stream `blob`.
+    fn container_with_dumps(headers: &[(u64, u32)], blob: &[u8]) -> Vec<u8> {
+        let mut p = W::default();
+        p.str("v3d");
+        p.str("v3d");
+        p.u32(1); // gpu_id
+        p.str("bomb");
+        p.u32(0); // job_count
+        p.u32(0); // regio_count
+        p.u64(0); // peak_mapped_pages
+        p.u64(0); // modeled_gpu_mem_bytes
+        for _ in 0..3 {
+            p.u32(0); // actions, inputs, outputs
+        }
+        p.u32(headers.len() as u32);
+        for &(va, len) in headers {
+            p.u64(va);
+            p.u32(len);
+        }
+        p.bytes(blob);
+        seal(&p.buf)
+    }
+
+    /// A GRZ stream claiming `claimed` output bytes: one literal, then
+    /// `groups` groups of eight maximal matches (32 KiB out per 25 in).
+    fn bomb_stream(claimed: u32, groups: usize) -> Vec<u8> {
+        let mut z = b"GRZ1".to_vec();
+        z.extend_from_slice(&claimed.to_le_bytes());
+        z.extend_from_slice(&[0x00, 0xAA, 0, 0, 0, 0, 0, 0, 0]);
+        let mut group = vec![0xFF];
+        for _ in 0..8 {
+            group.extend_from_slice(&[0x00, 0x0F, 0xFF]); // dist 1, len 4098
+        }
+        z.extend(group.repeat(groups));
+        z
+    }
+
+    #[test]
+    fn decompression_bomb_is_rejected_before_decompressing() {
+        // 64 KiB of stream would expand to ~84 MB before failing; the cap
+        // must refuse it from the header alone.
+        let blob = bomb_stream(u32::MAX, 2600);
+        let bytes = container_with_dumps(&[(0x10_0000, u32::MAX)], &blob);
+        let t0 = std::time::Instant::now();
+        assert_eq!(
+            Recording::from_bytes(&bytes),
+            Err(ContainerError::DumpTooLarge(u32::MAX as usize))
+        );
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+        // Within the cap but disagreeing with the dump headers: also
+        // refused before decompressing (decompressing would first fail
+        // with `Dump(Truncated)`).
+        let blob = bomb_stream(MAX_DUMP_BYTES as u32, 2600);
+        let bytes = container_with_dumps(&[(0x10_0000, 4096)], &blob);
+        assert_eq!(
+            Recording::from_bytes(&bytes),
+            Err(ContainerError::Truncated)
+        );
+        // Within the cap and agreeing: the stream is decompressed, and
+        // the first match past the claimed 1 MiB stops it.
+        let blob = bomb_stream(1 << 20, 2600);
+        let bytes = container_with_dumps(&[(0x10_0000, 1 << 20)], &blob);
+        assert_eq!(
+            Recording::from_bytes(&bytes),
+            Err(ContainerError::Dump(GrzError::LengthMismatch))
+        );
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod meta;
 
 pub use action::{Action, TimedAction};
 pub use codec::{grz_compress, grz_decompress};
-pub use container::{ContainerError, Recording};
+pub use container::{ContainerError, Recording, MAX_DUMP_BYTES};
 pub use meta::{Dump, IoSlot, RecordingMeta};

@@ -30,7 +30,7 @@
 //!   of the same recording elides the reset/upload/remap prologue when
 //!   the DRAM dirty log proves the machine's memory unchanged since the
 //!   previous batch (`DESIGN.md` §13); residency drops on recording
-//!   switch, GPU reset/fault re-warm, and hash-fallback mismatch, and
+//!   switch, GPU reset/fault re-warm, and compare-fallback mismatch, and
 //!   the elisions surface as `ShardStats::prologue_skipped`;
 //! * **replay-progress clock**: after each formed batch a worker advances
 //!   the service clock to its machine's virtual timeline, so queued

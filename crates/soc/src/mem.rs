@@ -412,7 +412,7 @@ impl SharedMem {
     }
 
     /// Bounds the dirty log's retained intervals (tests use a tiny cap to
-    /// force the `Unknown` → hash-fallback path).
+    /// force the `Unknown` → compare-fallback path).
     pub fn set_dirty_log_cap(&self, cap: usize) {
         self.inner.write().dirty_mut().set_cap(cap);
     }

@@ -36,6 +36,14 @@ fn bench_replay(c: &mut Criterion) {
     c.bench_function("container_decode", |b| {
         b.iter(|| Recording::from_bytes(&bytes).unwrap())
     });
+    // A fresh v3d machine plus replayer: DRAM set-up and the nano
+    // driver's 64-page flat table, the part of cold start before `load`.
+    c.bench_function("replayer_new_v3d", |b| {
+        b.iter(|| {
+            let machine = Machine::new(&sku::V3D_RPI4, 9);
+            Replayer::new(Environment::new(EnvKind::KernelLevel, machine).unwrap())
+        })
+    });
 }
 
 fn bench_codec(c: &mut Criterion) {
@@ -51,12 +59,21 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 fn bench_kernels(c: &mut Criterion) {
-    use gr_gpu::vm::bytecode::ActKind;
+    use gr_gpu::vm::bytecode::{ActKind, PoolKind};
     use gr_gpu::vm::kernels;
+    use std::hint::black_box;
     let x: Vec<f32> = (0..8 * 28 * 28).map(|i| (i as f32 * 0.01).sin()).collect();
     let w: Vec<f32> = (0..16 * 8 * 9).map(|i| (i as f32 * 0.02).cos()).collect();
     c.bench_function("vm_conv2d_8x28x28_to_16", |b| {
         b.iter(|| kernels::conv2d(&x, &w, None, 8, 28, 28, 16, 3, 3, 1, 1, 1, ActKind::Relu))
+    });
+    // MNIST's 2x2 max pool; shapes go through `black_box` so the kernel
+    // is not specialised for constants the VM only knows at run time.
+    c.bench_function("pool2d_mnist", |b| {
+        b.iter(|| {
+            let (ch, h, w, win) = black_box((8, 28, 28, 2));
+            kernels::pool2d(&x, ch, h, w, win, win, PoolKind::Max)
+        })
     });
     let a: Vec<f32> = (0..128 * 128).map(|i| i as f32 * 1e-4).collect();
     c.bench_function("vm_matmul_128", |b| {

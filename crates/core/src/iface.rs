@@ -194,7 +194,7 @@ impl NanoIface {
                 for i in 0..v3d::pgtable::PT_PAGES {
                     machine
                         .mem()
-                        .fill(base + (i * PAGE_SIZE) as u64, PAGE_SIZE, 0)
+                        .zero_page(base + (i * PAGE_SIZE) as u64)
                         .map_err(|_| ReplayError::OutOfMemory)?;
                 }
                 let pages = (0..v3d::pgtable::PT_PAGES)

@@ -304,7 +304,7 @@ impl NanoDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gr_gpu::sku::MALI_G71;
+    use gr_gpu::sku::{MALI_G71, V3D_RPI4};
 
     #[test]
     fn map_write_read_unmap() {
@@ -331,18 +331,32 @@ mod tests {
 
     #[test]
     fn frames_are_zeroed_no_sensitive_data() {
-        let machine = Machine::new(&MALI_G71, 2);
-        // Dirty some frames first.
-        let dirty = machine.frames().lock().alloc().unwrap();
-        machine.mem().fill(dirty, PAGE_SIZE, 0xEE).unwrap();
-        machine.frames().lock().free(dirty).unwrap();
-        let mut nano = NanoDriver::new(machine.clone(), NanoIface::Mali).unwrap();
-        // Map enough pages to certainly reuse the dirty frame.
-        nano.map(0x20_0000, &[0xB; 16]).unwrap();
-        let mut buf = vec![0u8; 16 * PAGE_SIZE];
-        nano.read_va(0x20_0000, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0), "§5.1: frames must be scrubbed");
-        nano.release();
+        for (sku, iface) in [(&MALI_G71, NanoIface::Mali), (&V3D_RPI4, NanoIface::V3d)] {
+            // A small DRAM whose every frame held a previous tenant's data,
+            // so tables and data frames are all reused dirty frames.
+            let machine = Machine::with_dram(sku, 2, 128 * PAGE_SIZE);
+            let mut dirty = Vec::new();
+            while let Some(f) = machine.frames().lock().alloc() {
+                machine.mem().fill(f, PAGE_SIZE, 0xEE).unwrap();
+                dirty.push(f);
+            }
+            for f in dirty {
+                machine.frames().lock().free(f).unwrap();
+            }
+            let mut nano = NanoDriver::new(machine.clone(), iface).unwrap();
+            for &t in &nano.table_frames {
+                let table = machine.mem().read_vec(t, PAGE_SIZE).unwrap();
+                assert!(table.iter().all(|&b| b == 0), "{iface:?}: table {t:#x}");
+            }
+            nano.map(0x20_0000, &[0xB; 16]).unwrap();
+            let mut buf = vec![0u8; 16 * PAGE_SIZE];
+            nano.read_va(0x20_0000, &mut buf).unwrap();
+            assert!(
+                buf.iter().all(|&b| b == 0),
+                "{iface:?}: §5.1: frames must be scrubbed"
+            );
+            nano.release();
+        }
     }
 
     #[test]

@@ -1015,8 +1015,7 @@ impl Replayer {
             }
             machine.advance(overhead + dispatch);
 
-            let action = ta.action.clone();
-            match action {
+            match ta.action {
                 Action::RegReadOnce {
                     reg,
                     expect,
@@ -1062,10 +1061,9 @@ impl Replayer {
                     }
                 }
                 Action::SetGpuPgtable => self.nano.set_pgtable_base(),
-                Action::MapGpuMem { va, pte_flags } => self.nano.map(va, &pte_flags)?,
+                Action::MapGpuMem { va, ref pte_flags } => self.nano.map(va, pte_flags)?,
                 Action::UnmapGpuMem { va } => self.nano.unmap(va)?,
                 Action::Upload { dump_idx } => {
-                    let rec = &self.loaded[id].rec;
                     let dump = &rec.dumps[dump_idx as usize];
                     machine
                         .gpu_access()
@@ -1082,7 +1080,6 @@ impl Replayer {
                     }
                 }
                 Action::CopyToGpu { slot } => {
-                    let rec = &self.loaded[id].rec;
                     let va = rec.inputs[slot as usize].va;
                     machine
                         .gpu_access()
@@ -1099,7 +1096,6 @@ impl Replayer {
                     }
                 }
                 Action::CopyFromGpu { slot } => {
-                    let rec = &self.loaded[id].rec;
                     let va = rec.outputs[slot as usize].va;
                     machine
                         .gpu_access()

@@ -119,7 +119,7 @@ pub fn alloc_table(mem: &SharedMem, alloc: &mut FrameAllocator) -> Result<u64, V
         .alloc_contig(PT_PAGES)
         .ok_or(V3dPgtableError::OutOfFrames)?;
     for i in 0..PT_PAGES {
-        mem.fill(base + (i * PAGE_SIZE) as u64, PAGE_SIZE, 0)?;
+        mem.zero_page(base + (i * PAGE_SIZE) as u64)?;
     }
     Ok(base)
 }

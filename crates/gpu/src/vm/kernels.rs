@@ -305,6 +305,11 @@ pub fn conv2d_fast(
 }
 
 /// 2-D pooling over NCHW, no padding.
+///
+/// Works row by row: each output row folds the `win` input rows under it,
+/// one window slice per output. Every output still folds its window in
+/// (ky, kx) order from the same start value, so results are bit-identical
+/// to a per-window loop nest, NaN and signed-zero handling included.
 pub fn pool2d(
     x: &[f32],
     c: usize,
@@ -315,37 +320,57 @@ pub fn pool2d(
     kind: PoolKind,
 ) -> Vec<f32> {
     assert_eq!(x.len(), c * h * wd, "input size");
+    match kind {
+        PoolKind::Max => pool_rows(x, c, h, wd, win, stride, f32::NEG_INFINITY, f32::max),
+        PoolKind::Avg => {
+            let mut out = pool_rows(x, c, h, wd, win, stride, 0.0, |s, v| s + v);
+            let n = (win * win) as f32;
+            for v in &mut out {
+                *v /= n;
+            }
+            out
+        }
+    }
+}
+
+/// Folds each `win`×`win` window with `fold`, starting from `init`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn pool_rows(
+    x: &[f32],
+    c: usize,
+    h: usize,
+    wd: usize,
+    win: usize,
+    stride: usize,
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+) -> Vec<f32> {
     let ho = out_dim(h as u32, win as u32, stride as u32, 0) as usize;
     let wo = out_dim(wd as u32, win as u32, stride as u32, 0) as usize;
-    let mut out = vec![0.0f32; c * ho * wo];
-    // The kind dispatch is hoisted out of the window loop; each branch
-    // performs exactly the reduction the combined loop used to select.
-    for ch in 0..c {
-        for oy in 0..ho {
-            for ox in 0..wo {
-                out[ch * ho * wo + oy * wo + ox] = match kind {
-                    PoolKind::Max => {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..win {
-                            for kx in 0..win {
-                                best = best.max(
-                                    x[ch * h * wd + (oy * stride + ky) * wd + (ox * stride + kx)],
-                                );
-                            }
-                        }
-                        best
+    let mut out = vec![init; c * ho * wo];
+    if out.is_empty() || x.is_empty() {
+        return out;
+    }
+    for (plane, oplane) in x.chunks_exact(h * wd).zip(out.chunks_exact_mut(ho * wo)) {
+        for (oy, orow) in oplane.chunks_exact_mut(wo).enumerate() {
+            for ky in 0..win {
+                let row = &plane[(oy * stride + ky) * wd..][..wd];
+                if win == stride {
+                    // Windows tile the row: contiguous, non-overlapping.
+                    // The 2-wide arm is a fixed-length fold the compiler
+                    // vectorizes (MNIST's 2×2 pool).
+                    for (o, w) in orow.iter_mut().zip(row.chunks_exact(win)) {
+                        *o = match *w {
+                            [a, b] => fold(fold(*o, a), b),
+                            _ => w.iter().fold(*o, |a, &v| fold(a, v)),
+                        };
                     }
-                    PoolKind::Avg => {
-                        let mut sum = 0.0f32;
-                        for ky in 0..win {
-                            for kx in 0..win {
-                                sum +=
-                                    x[ch * h * wd + (oy * stride + ky) * wd + (ox * stride + kx)];
-                            }
-                        }
-                        sum / (win * win) as f32
+                } else {
+                    for (o, w) in orow.iter_mut().zip(row.windows(win).step_by(stride)) {
+                        *o = w.iter().fold(*o, |a, &v| fold(a, v));
                     }
-                };
+                }
             }
         }
     }
@@ -742,6 +767,57 @@ pub fn pool_grad(
 mod tests {
     use super::*;
 
+    /// The per-window loop nest `pool2d` replaced: the differential oracle.
+    fn pool2d_reference(
+        x: &[f32],
+        c: usize,
+        h: usize,
+        wd: usize,
+        win: usize,
+        stride: usize,
+        kind: PoolKind,
+    ) -> Vec<f32> {
+        assert_eq!(x.len(), c * h * wd, "input size");
+        let ho = out_dim(h as u32, win as u32, stride as u32, 0) as usize;
+        let wo = out_dim(wd as u32, win as u32, stride as u32, 0) as usize;
+        let mut out = vec![0.0f32; c * ho * wo];
+        // The kind dispatch is hoisted out of the window loop; each branch
+        // performs exactly the reduction the combined loop used to select.
+        for ch in 0..c {
+            for oy in 0..ho {
+                for ox in 0..wo {
+                    out[ch * ho * wo + oy * wo + ox] = match kind {
+                        PoolKind::Max => {
+                            let mut best = f32::NEG_INFINITY;
+                            for ky in 0..win {
+                                for kx in 0..win {
+                                    best = best.max(
+                                        x[ch * h * wd
+                                            + (oy * stride + ky) * wd
+                                            + (ox * stride + kx)],
+                                    );
+                                }
+                            }
+                            best
+                        }
+                        PoolKind::Avg => {
+                            let mut sum = 0.0f32;
+                            for ky in 0..win {
+                                for kx in 0..win {
+                                    sum += x[ch * h * wd
+                                        + (oy * stride + ky) * wd
+                                        + (ox * stride + kx)];
+                                }
+                            }
+                            sum / (win * win) as f32
+                        }
+                    };
+                }
+            }
+        }
+        out
+    }
+
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -932,6 +1008,80 @@ mod tests {
         let x = vec![1., 2., 3., 4.];
         assert_eq!(pool2d(&x, 1, 2, 2, 2, 2, PoolKind::Max), vec![4.]);
         assert_eq!(pool2d(&x, 1, 2, 2, 2, 2, PoolKind::Avg), vec![2.5]);
+    }
+
+    /// Draws from a palette of IEEE edge cases mixed with random bit
+    /// patterns (which include NaNs with arbitrary payloads).
+    fn edgy_f32(bits: u64) -> f32 {
+        const EDGES: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 8.0,
+            f32::MAX,
+            1.0,
+            -1.0,
+        ];
+        match bits % 4 {
+            0 => f32::from_bits((bits >> 8) as u32),
+            _ => EDGES[(bits >> 8) as usize % EDGES.len()],
+        }
+    }
+
+    /// Bit equality, except that any NaN equals any NaN (Rust does not
+    /// pin NaN payloads through `max`).
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pool2d_matches_window_loop_oracle(
+            (c, (h, wd)) in (1usize..4, (1usize..13, 1usize..13)),
+            ((win, stride), (seed, avg)) in ((1usize..5, 1usize..5), (proptest::prelude::any::<u64>(), proptest::prelude::any::<bool>())),
+        ) {
+            let (win, stride) = if seed % 3 == 0 { (win, win) } else { (win, stride) };
+            if win <= h && win <= wd {
+                let mut state = seed;
+                let x: Vec<f32> = (0..c * h * wd)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        edgy_f32(state >> 16)
+                    })
+                    .collect();
+                let kind = if avg { PoolKind::Avg } else { PoolKind::Max };
+                let got = pool2d(&x, c, h, wd, win, stride, kind);
+                let want = pool2d_reference(&x, c, h, wd, win, stride, kind);
+                assert!(
+                    same_bits(&got, &want),
+                    "c={c} h={h} w={wd} win={win} stride={stride} {kind:?}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pool2d_mnist_shape_matches_oracle_on_signed_zeros() {
+        // MNIST's 2×2 max pool over 8×28×28, where every window mixes
+        // +0.0 and -0.0 (ReLU outputs) with NaN and infinities.
+        let x: Vec<f32> = (0..8 * 28 * 28)
+            .map(|i| edgy_f32((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 3))
+            .collect();
+        for kind in [PoolKind::Max, PoolKind::Avg] {
+            let got = pool2d(&x, 8, 28, 28, 2, 2, kind);
+            assert!(same_bits(
+                &got,
+                &pool2d_reference(&x, 8, 28, 28, 2, 2, kind)
+            ));
+        }
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! The on-disk recording container.
 //!
-//! Layout: magic `GREC`, format version, FNV-1a checksum of the payload,
-//! then the payload: metadata, actions, I/O slots, and the GRZ-compressed
-//! dump section. [`Recording::to_bytes`]/[`Recording::from_bytes`] are the
-//! only (de)serialization paths; the replayer's verifier re-checks the
-//! checksum and every structural invariant on load.
-
-use gr_sim::trace::fnv1a;
+//! Layout (format v2): magic `GREC`, format version (`u32`), a 64-bit
+//! checksum of the payload, then the payload: metadata, actions, I/O
+//! slots, and the GRZ-compressed dump section. All integers are little
+//! endian. [`Recording::to_bytes`]/[`Recording::from_bytes`] are the only
+//! (de)serialization paths; the replayer's verifier re-checks every
+//! structural invariant on load.
+//!
+//! The v2 checksum reads the payload as 32-byte blocks of four
+//! little-endian `u64` words, one word per independent multiply-rotate
+//! lane, then folds the lanes, the length and the tail bytes into one
+//! value (`checksum` below). Format v1 had the same layout with a
+//! byte-serial FNV-1a checksum; [`Recording::from_bytes`] refuses it with
+//! [`ContainerError::BadVersion`].
 
 use crate::action::{Action, TimedAction};
 use crate::codec::{grz_compress, grz_decompress, grz_len, GrzError};
 use crate::meta::{Dump, IoSlot, RecordingMeta};
 
 const MAGIC: &[u8; 4] = b"GREC";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Cap on a recording's total uncompressed dump bytes (96 MiB).
 /// [`Recording::from_bytes`] rejects a larger dump section before it
@@ -274,9 +280,9 @@ impl Recording {
         if version != VERSION {
             return Err(ContainerError::BadVersion(version));
         }
-        let checksum = u64::from_le_bytes(bytes[8..16].try_into().expect("len"));
+        let stored = u64::from_le_bytes(bytes[8..16].try_into().expect("len"));
         let payload = &bytes[16..];
-        if fnv1a(payload) != checksum {
+        if checksum(payload) != stored {
             return Err(ContainerError::ChecksumMismatch);
         }
         let mut r = R {
@@ -397,9 +403,53 @@ fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// One lane step: `acc + word * P2`, rotated, times `P1`. With odd
+/// multipliers the step is a bijection in `acc` and in `word`, so a change
+/// to any single word always changes the final checksum.
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// The format-v2 payload checksum: four independent lanes over 32-byte
+/// blocks (one `u64` word per lane, so the multiplies of different lanes
+/// overlap instead of forming one serial chain), folded with the length,
+/// then the tail: whole words, then single bytes, then a final avalanche.
+/// An integrity check against corruption, not a MAC.
+fn checksum(data: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
+    }
+    let mut h = lanes
+        .into_iter()
+        .fold((data.len() as u64).wrapping_mul(P3), round);
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = round(h, word(w));
+    }
+    for &b in words.remainder() {
+        h = round(h, u64::from(b));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
@@ -508,6 +558,60 @@ mod tests {
             Recording::from_bytes(&bytes),
             Err(ContainerError::ChecksumMismatch)
         );
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_detected() {
+        let bytes = sample().to_bytes();
+        let payload_len = bytes.len() - 16;
+        let blocks_end = 16 + payload_len / 32 * 32;
+        assert_ne!(blocks_end, bytes.len(), "sample must have tail bytes");
+        // Every offset modulo 32 (each lane and byte position within a
+        // word), then every tail byte past the last whole block.
+        let offsets = (16..16 + 32).chain(blocks_end..bytes.len());
+        for off in offsets {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[off] ^= mask;
+                assert_eq!(
+                    Recording::from_bytes(&bad),
+                    Err(ContainerError::ChecksumMismatch),
+                    "flip {mask:#x} at {off}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_covers_length_and_tail() {
+        assert_ne!(checksum(b""), checksum(&[0]));
+        assert_ne!(checksum(&[0; 32]), checksum(&[0; 33]));
+        assert_ne!(checksum(&[0; 40]), checksum(&[0; 41]));
+        let a: Vec<u8> = (0..100u8).collect();
+        let mut b = a.clone();
+        b.swap(0, 8); // same bytes, different lane
+        assert_ne!(checksum(&a), checksum(&b));
+    }
+
+    #[test]
+    fn v1_container_is_refused_by_version() {
+        // A format-v1 container: same layout, byte-serial FNV-1a checksum.
+        let v2 = sample().to_bytes();
+        let payload = &v2[16..];
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&gr_sim::trace::fnv1a(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        assert_eq!(
+            Recording::from_bytes(&v1),
+            Err(ContainerError::BadVersion(1))
+        );
+        for cut in [16, 17, v1.len() - 1] {
+            assert_eq!(
+                Recording::from_bytes(&v1[..cut]),
+                Err(ContainerError::BadVersion(1))
+            );
+        }
     }
 
     #[test]

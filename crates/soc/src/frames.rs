@@ -4,7 +4,8 @@
 //! pages to back GPU virtual mappings. The replayer additionally promises
 //! (§5.1) that "allocated physical pages contain no sensitive data", so
 //! [`FrameAllocator::alloc_zeroed`] scrubs frames through the shared DRAM
-//! handle before returning them.
+//! handle before returning them. The scrub skips pages DRAM knows are
+//! still all zero ([`SharedMem::zero_page`]).
 
 use crate::mem::{MemError, SharedMem, PAGE_SIZE};
 
@@ -129,7 +130,8 @@ impl FrameAllocator {
         None
     }
 
-    /// Allocates one frame and zero-fills it through `mem`.
+    /// Allocates one frame and scrubs it through `mem` (see
+    /// [`SharedMem::zero_page`]).
     ///
     /// # Errors
     ///
@@ -138,7 +140,7 @@ impl FrameAllocator {
     pub fn alloc_zeroed(&mut self, mem: &SharedMem) -> Result<Option<u64>, MemError> {
         match self.alloc() {
             Some(pa) => {
-                mem.fill(pa, PAGE_SIZE, 0)?;
+                mem.zero_page(pa)?;
                 Ok(Some(pa))
             }
             None => Ok(None),

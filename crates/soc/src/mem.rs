@@ -59,6 +59,10 @@ pub struct PhysMem {
     /// Write-interval log: every mutation path records here, so warm-
     /// residency consumers can prove ranges unchanged between replays.
     dirty: DirtyLog,
+    /// One bit per page, set by the same mutation paths that feed
+    /// `dirty` and cleared by [`PhysMem::zero_page`]: a clear bit means
+    /// the page is all zero, so scrubbing it again can be skipped.
+    written: Vec<u64>,
 }
 
 impl fmt::Debug for PhysMem {
@@ -83,7 +87,44 @@ impl PhysMem {
             base,
             bytes: vec![0; size],
             dirty: DirtyLog::default(),
+            written: vec![0; (size / PAGE_SIZE).div_ceil(64)],
         }
+    }
+
+    /// Marks every page overlapping `[off, off+len)` (DRAM offsets) as
+    /// possibly non-zero and logs the write. Every mutation path ends here.
+    fn note_write(&mut self, pa: u64, off: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for page in off / PAGE_SIZE..=(off + len - 1) / PAGE_SIZE {
+            self.written[page / 64] |= 1 << (page % 64);
+        }
+        self.dirty.record(pa, len);
+    }
+
+    /// Zero-fills the page at `pa` unless it is already known to be all
+    /// zero: a page nothing has written since DRAM was created or since
+    /// its last scrub is skipped without touching it (a never-written
+    /// page is never faulted in on the host). Frames handed out as
+    /// "zeroed" (§5.1) go through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError`] when `pa` is not the page-aligned start of a
+    /// page inside DRAM.
+    pub fn zero_page(&mut self, pa: u64) -> Result<(), MemError> {
+        let off = self.offset(pa, PAGE_SIZE)?;
+        if off % PAGE_SIZE != 0 {
+            return Err(MemError { pa, len: PAGE_SIZE });
+        }
+        let (page, bit) = (off / PAGE_SIZE / 64, 1 << (off / PAGE_SIZE % 64));
+        if self.written[page] & bit != 0 {
+            self.bytes[off..off + PAGE_SIZE].fill(0);
+            self.dirty.record(pa, PAGE_SIZE);
+            self.written[page] &= !bit;
+        }
+        Ok(())
     }
 
     /// The DRAM's dirty-range log (read-only view).
@@ -143,7 +184,7 @@ impl PhysMem {
     pub fn write(&mut self, pa: u64, data: &[u8]) -> Result<(), MemError> {
         let off = self.offset(pa, data.len())?;
         self.bytes[off..off + data.len()].copy_from_slice(data);
-        self.dirty.record(pa, data.len());
+        self.note_write(pa, off, data.len());
         Ok(())
     }
 
@@ -195,7 +236,7 @@ impl PhysMem {
     pub fn fill(&mut self, pa: u64, len: usize, byte: u8) -> Result<(), MemError> {
         let off = self.offset(pa, len)?;
         self.bytes[off..off + len].fill(byte);
-        self.dirty.record(pa, len);
+        self.note_write(pa, off, len);
         Ok(())
     }
 
@@ -218,7 +259,7 @@ impl PhysMem {
     pub fn slice_mut(&mut self, pa: u64, len: usize) -> Result<&mut [u8], MemError> {
         let off = self.offset(pa, len)?;
         // Conservative: the whole borrowed range counts as written.
-        self.dirty.record(pa, len);
+        self.note_write(pa, off, len);
         Ok(&mut self.bytes[off..off + len])
     }
 }
@@ -321,6 +362,15 @@ impl SharedMem {
     /// Returns [`MemError`] when out of bounds.
     pub fn fill(&self, pa: u64, len: usize, byte: u8) -> Result<(), MemError> {
         self.inner.write().fill(pa, len, byte)
+    }
+
+    /// See [`PhysMem::zero_page`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError`] when `pa` is not a page start inside DRAM.
+    pub fn zero_page(&self, pa: u64) -> Result<(), MemError> {
+        self.inner.write().zero_page(pa)
     }
 
     /// Copies out `[pa, pa+len)` as a fresh vector (dump capture).
@@ -507,6 +557,106 @@ mod tests {
         assert_eq!(sum, 7);
         assert!(shared.contains(0x4000, PAGE_SIZE));
         assert_eq!(shared.end(), 0x4000 + 2 * PAGE_SIZE as u64);
+    }
+
+    #[test]
+    fn zero_page_skips_clean_pages_and_scrubs_written_ones() {
+        let mut m = PhysMem::new(0x1000, 3 * PAGE_SIZE);
+        let mark = m.dirty().mark();
+        // Never written: nothing to scrub, nothing logged.
+        m.zero_page(0x1000).unwrap();
+        assert_eq!(
+            m.dirty().dirty_since(mark, 0x1000, PAGE_SIZE),
+            DirtyVerdict::Clean
+        );
+        // A write straddling pages 1 and 2 makes both scrub.
+        m.write(0x1000 + 2 * PAGE_SIZE as u64 - 2, &[7; 4]).unwrap();
+        let mark = m.dirty().mark();
+        m.zero_page(0x1000 + PAGE_SIZE as u64).unwrap();
+        m.zero_page(0x1000 + 2 * PAGE_SIZE as u64).unwrap();
+        assert!(m
+            .slice(0x1000, 3 * PAGE_SIZE)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0));
+        assert_eq!(
+            m.dirty().dirty_since(mark, 0x1000, PAGE_SIZE),
+            DirtyVerdict::Clean
+        );
+        assert_eq!(
+            m.dirty()
+                .dirty_since(mark, 0x1000 + PAGE_SIZE as u64, PAGE_SIZE),
+            DirtyVerdict::Dirty
+        );
+        // A scrubbed page is known zero again until the next write.
+        let mark = m.dirty().mark();
+        m.zero_page(0x1000 + PAGE_SIZE as u64).unwrap();
+        assert_eq!(
+            m.dirty().dirty_since(mark, 0x1000, 3 * PAGE_SIZE),
+            DirtyVerdict::Clean
+        );
+        // Only page starts inside DRAM are accepted.
+        assert!(m.zero_page(0x1001).is_err());
+        assert!(m.zero_page(0x1000 + 3 * PAGE_SIZE as u64).is_err());
+        assert!(m.zero_page(0).is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn zero_page_leaves_every_page_zero_after_any_write_mix(
+            ops in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), (proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>())),
+                1..40,
+            ),
+            scrub_between in proptest::prelude::any::<u64>(),
+        ) {
+            const PAGES: usize = 4;
+            const BASE: u64 = 0x8000;
+            let shared = SharedMem::new(PhysMem::new(BASE, PAGES * PAGE_SIZE));
+            for (i, &(kind, (at, len))) in ops.iter().enumerate() {
+                let off = at % (PAGES * PAGE_SIZE) as u64;
+                let len = (len as usize % (2 * PAGE_SIZE)).min(PAGES * PAGE_SIZE - off as usize);
+                let byte = (at >> 56) as u8 | 1;
+                let pa = BASE + off;
+                match kind % 7 {
+                    0 => shared.write(pa, &vec![byte; len]).unwrap(),
+                    1 => {
+                        let _ = shared.write_u32(pa, u32::from(byte) << 8 | 1);
+                    }
+                    2 => {
+                        let _ = shared.write_u64(pa, u64::from(byte) << 40 | 1);
+                    }
+                    3 => shared.fill(pa, len, byte).unwrap(),
+                    4 => shared.write_guard().slice_mut(pa, len).unwrap().fill(byte),
+                    5 => {
+                        let mut g = shared.write_guard();
+                        let _ = g.write_u32(pa, 0xFFFF_FFFF);
+                        g.write(pa, &vec![byte; len]).unwrap();
+                    }
+                    _ => {
+                        let page = off / PAGE_SIZE as u64 * PAGE_SIZE as u64;
+                        shared.zero_page(BASE + page).unwrap();
+                    }
+                }
+                // Scrub a random page now and then, so clean and scrubbed
+                // pages mix with written ones.
+                if scrub_between >> (i % 64) & 1 == 1 {
+                    let page = (at >> 20) % PAGES as u64;
+                    shared.zero_page(BASE + page * PAGE_SIZE as u64).unwrap();
+                    let zero = shared
+                        .with_slice(BASE + page * PAGE_SIZE as u64, PAGE_SIZE, |s| s.iter().all(|&b| b == 0))
+                        .unwrap();
+                    assert!(zero, "page {page} not zero right after zero_page");
+                }
+            }
+            for page in 0..PAGES as u64 {
+                shared.zero_page(BASE + page * PAGE_SIZE as u64).unwrap();
+            }
+            let all_zero = shared
+                .with_slice(BASE, PAGES * PAGE_SIZE, |s| s.iter().all(|&b| b == 0))
+                .unwrap();
+            assert!(all_zero, "zero_page left data behind");
+        }
     }
 
     #[test]

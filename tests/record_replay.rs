@@ -67,6 +67,91 @@ fn v3d_record_replay_roundtrip() {
     replayer.cleanup();
 }
 
+/// Physical frames of `machine` that are currently allocated.
+fn allocated_frames(machine: &Machine) -> Vec<u64> {
+    let frames = machine.frames().lock();
+    (0..frames.capacity() as u64)
+        .map(|i| gr_gpu::machine::DRAM_BASE + i * gr_soc::PAGE_SIZE as u64)
+        .filter(|&pa| frames.is_allocated(pa))
+        .collect()
+}
+
+/// A second replayer on the same machine gets the first one's freed table
+/// and data frames back. Every frame it is handed must be scrubbed (§5.1),
+/// even after another tenant wrote over all of them.
+#[test]
+fn second_replayer_on_one_machine_gets_scrubbed_frames() {
+    const POISON: u64 = 0xDEAD_BEEF_CAFE_F00D;
+    for (sku, env_kind) in [
+        (&sku::MALI_G71, EnvKind::UserLevel),
+        (&sku::V3D_RPI4, EnvKind::KernelLevel),
+    ] {
+        let dev = Machine::new(sku, 21);
+        let mut harness = RecordHarness::new(dev).unwrap();
+        let recs = harness
+            .record_inference(&models::mnist(), Granularity::WholeNn, 22)
+            .unwrap();
+        let net = recs.net.clone();
+        let bytes = recs.recordings[0].to_bytes();
+        harness.finish();
+        let input = random_input(net.input_len(), 23);
+        let reference = cpu_ref::cpu_infer(&net, &input);
+
+        // Eight frames more than one replay needs, so the second
+        // replayer's allocations wrap around onto the first one's frames.
+        let tables = match sku.family {
+            gr_gpu::sku::GpuFamilyKind::Mali => 2,
+            gr_gpu::sku::GpuFamilyKind::V3d => gr_gpu::v3d::pgtable::PT_PAGES,
+        };
+        let pages = recs.recordings[0].meta.peak_mapped_pages as usize + tables + 8;
+        let target = Machine::with_dram(sku, 24, pages * gr_soc::PAGE_SIZE);
+        // Replays once on a fresh replayer and returns the frames it held.
+        let run = || {
+            let env = Environment::new(env_kind, target.clone()).unwrap();
+            let mut replayer = Replayer::new(env);
+            for pa in allocated_frames(&target) {
+                let table = target.mem().read_vec(pa, gr_soc::PAGE_SIZE).unwrap();
+                assert!(
+                    table.iter().all(|&b| b == 0),
+                    "table frame {pa:#x} not scrubbed"
+                );
+            }
+            let id = replayer.load_bytes(&bytes).unwrap();
+            let mut io = ReplayIo::for_recording(replayer.recording(id));
+            io.set_input_f32(0, &input).unwrap();
+            replayer.replay(id, &mut io).unwrap();
+            assert_eq!(io.output_f32(0).unwrap(), reference, "{}", sku.name);
+            let used = allocated_frames(&target);
+            for &pa in &used {
+                let page = target.mem().read_vec(pa, gr_soc::PAGE_SIZE).unwrap();
+                assert!(
+                    page.chunks_exact(8).all(|w| w != POISON.to_le_bytes()),
+                    "{}: frame {pa:#x} kept poison",
+                    sku.name
+                );
+            }
+            replayer.cleanup();
+            used
+        };
+        let first = run();
+        // Cleanup cleared the first replayer's PTEs but left its data.
+        // Poison every free frame, its tables and data frames included.
+        let page = POISON.to_le_bytes().repeat(gr_soc::PAGE_SIZE / 8);
+        for i in 0..target.frames().lock().capacity() as u64 {
+            let pa = gr_gpu::machine::DRAM_BASE + i * gr_soc::PAGE_SIZE as u64;
+            target.mem().write(pa, &page).unwrap();
+        }
+        let second = run();
+        let reused = second.iter().filter(|pa| first.contains(pa)).count();
+        assert!(
+            reused > second.len() / 2,
+            "{}: only {reused} of {} frames reused",
+            sku.name,
+            second.len()
+        );
+    }
+}
+
 /// Per-layer recordings replayed in sequence in one session reproduce the
 /// whole network (paper Fig. 4).
 #[test]

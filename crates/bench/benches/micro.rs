@@ -44,6 +44,30 @@ fn bench_replay(c: &mut Criterion) {
             Replayer::new(Environment::new(EnvKind::KernelLevel, machine).unwrap())
         })
     });
+    // One whole cold start on v3d: decode, a fresh machine and replayer,
+    // `load`, the first replay (the first writes to the machine's DRAM)
+    // and `cleanup`, which drops the machine.
+    let v3d = gr_bench::record_model(
+        &sku::V3D_RPI4,
+        &models::mnist(),
+        Granularity::WholeNn,
+        true,
+        7,
+    );
+    let v3d_bytes = v3d.recordings[0].to_bytes();
+    c.bench_function("cold_start_v3d_mnist", |b| {
+        b.iter(|| {
+            let rec = Recording::from_bytes(&v3d_bytes).unwrap();
+            let machine = Machine::new(&sku::V3D_RPI4, 9);
+            let env = Environment::new(EnvKind::KernelLevel, machine).unwrap();
+            let mut replayer = Replayer::new(env);
+            let id = replayer.load(rec).unwrap();
+            let mut io = ReplayIo::for_recording(replayer.recording(id));
+            io.set_input_f32(0, &input).unwrap();
+            replayer.replay(id, &mut io).unwrap();
+            replayer.cleanup();
+        })
+    });
 }
 
 fn bench_codec(c: &mut Criterion) {

@@ -10,6 +10,7 @@
 //! same register, reads with side effects, and interrupts.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -64,8 +65,11 @@ pub struct TraceRecord {
 
 #[derive(Debug, Default)]
 struct BusInner {
-    records: Vec<TraceRecord>,
-    enabled: bool,
+    /// Written only under the `records` lock and read without it, so a
+    /// disabled bus costs `publish` one load, not a lock round trip. It
+    /// publishes no other data: `publish` checks it again under the lock.
+    enabled: AtomicBool,
+    records: Mutex<Vec<TraceRecord>>,
 }
 
 /// A shared, cloneable event log.
@@ -85,7 +89,7 @@ struct BusInner {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceBus {
-    inner: Arc<Mutex<BusInner>>,
+    inner: Arc<BusInner>,
 }
 
 impl TraceBus {
@@ -96,30 +100,40 @@ impl TraceBus {
 
     /// Starts retaining published events.
     pub fn enable(&self) {
-        self.inner.lock().enabled = true;
+        self.set_enabled(true);
     }
 
     /// Stops retaining events (already-retained events stay).
     pub fn disable(&self) {
-        self.inner.lock().enabled = false;
+        self.set_enabled(false);
+    }
+
+    fn set_enabled(&self, on: bool) {
+        let _records = self.inner.records.lock();
+        self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether events are currently retained.
     pub fn is_enabled(&self) -> bool {
-        self.inner.lock().enabled
+        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Publishes `event` at instant `at` (no-op while disabled).
     pub fn publish(&self, at: SimTime, event: TraceEvent) {
-        let mut g = self.inner.lock();
-        if g.enabled {
-            g.records.push(TraceRecord { at, event });
+        if !self.is_enabled() {
+            return;
+        }
+        // Checked again under the lock, so no event lands after
+        // `disable` returns.
+        let mut records = self.inner.records.lock();
+        if self.is_enabled() {
+            records.push(TraceRecord { at, event });
         }
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        self.inner.records.lock().len()
     }
 
     /// `true` when no records are retained.
@@ -129,12 +143,12 @@ impl TraceBus {
 
     /// Copies out all retained records.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.inner.lock().records.clone()
+        self.inner.records.lock().clone()
     }
 
     /// Drops all retained records.
     pub fn clear(&self) {
-        self.inner.lock().records.clear();
+        self.inner.records.lock().clear();
     }
 
     /// Extracts the *state-changing* event sequence per §3.2 of the paper:

@@ -7,8 +7,9 @@
 //! GPU page tables, job binaries, and tensors all live here.
 
 use std::fmt;
+use std::mem;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -17,6 +18,108 @@ use crate::dirty::{DirtyLog, DirtyMark, DirtyVerdict};
 /// Page/frame size used throughout the machine (both GPU MMU formats map
 /// 4 KiB pages, like Mali's and v3d's smallest granule).
 pub const PAGE_SIZE: usize = 4096;
+
+/// Most scrubbed backings [`SPARES`] keeps, at most one per size.
+const MAX_SPARES: usize = 4;
+
+/// A backing whose ever-written pages exceed this many bytes is released
+/// on drop instead of kept: scrubbed pages stay resident on the host.
+const MAX_SPARE_RESIDENT: usize = 16 << 20;
+
+/// Backings of dropped DRAMs, all zero, for the next [`PhysMem::new`] of
+/// the same size: a new machine then starts on pages the host has already
+/// faulted in, as target DRAM never faults.
+static SPARES: SparePool = SparePool::new();
+
+/// The storage behind one [`PhysMem`]: bytes plus its per-page bitmaps.
+struct Backing {
+    bytes: Vec<u8>,
+    /// Pages written since their last scrub (see [`PhysMem::zero_page`]).
+    written: Vec<u64>,
+    /// Pages ever written while this backing lived, so resident on the
+    /// host (folded in whenever a `written` bit is cleared). Never cleared.
+    resident: Vec<u64>,
+}
+
+impl Backing {
+    fn zeroed(size: usize) -> Self {
+        let words = (size / PAGE_SIZE).div_ceil(64);
+        Backing {
+            bytes: vec![0; size],
+            written: vec![0; words],
+            resident: vec![0; words],
+        }
+    }
+
+    /// Zeroes every page written since its last scrub, so the whole
+    /// backing reads zero and every `written` bit is clear.
+    fn scrub(&mut self) {
+        for (w, (written, resident)) in self.written.iter_mut().zip(&mut self.resident).enumerate()
+        {
+            *resident |= *written;
+            while *written != 0 {
+                let off = (w * 64 + written.trailing_zeros() as usize) * PAGE_SIZE;
+                self.bytes[off..off + PAGE_SIZE].fill(0);
+                *written &= *written - 1;
+            }
+        }
+    }
+}
+
+/// A bounded list of zeroed [`Backing`]s shared by every thread.
+struct SparePool {
+    spares: Mutex<Vec<Backing>>,
+}
+
+impl SparePool {
+    const fn new() -> Self {
+        SparePool {
+            spares: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Every update under the lock is one `push` or `swap_remove`, so the
+    /// list is valid even after a panic elsewhere poisoned it.
+    fn lock(&self) -> MutexGuard<'_, Vec<Backing>> {
+        self.spares.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A free slot for a backing of `size` bytes: the list is not full
+    /// and holds no spare of that size yet.
+    fn has_room(spares: &[Backing], size: usize) -> bool {
+        spares.len() < MAX_SPARES && spares.iter().all(|s| s.bytes.len() != size)
+    }
+
+    fn take(&self, size: usize) -> Option<Backing> {
+        let mut spares = self.lock();
+        let i = spares.iter().position(|s| s.bytes.len() == size)?;
+        Some(spares.swap_remove(i))
+    }
+
+    /// Scrubs `b` and keeps it when a slot is free and its resident pages
+    /// do not exceed the cap; otherwise releases it unscrubbed. The scrub
+    /// runs outside the lock, so the slot is checked again after it.
+    fn give(&self, mut b: Backing) {
+        let size = b.bytes.len();
+        if !Self::has_room(&self.lock(), size) {
+            return;
+        }
+        let resident: u32 = b
+            .written
+            .iter()
+            .zip(&b.resident)
+            .map(|(w, r)| (w | r).count_ones())
+            .sum();
+        if resident as usize * PAGE_SIZE > MAX_SPARE_RESIDENT {
+            return;
+        }
+        b.scrub();
+        let mut spares = self.lock();
+        if Self::has_room(&spares, size) {
+            spares.push(b);
+        }
+    }
+}
 
 /// Error raised by out-of-range physical accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +166,10 @@ pub struct PhysMem {
     /// `dirty` and cleared by [`PhysMem::zero_page`]: a clear bit means
     /// the page is all zero, so scrubbing it again can be skipped.
     written: Vec<u64>,
+    /// See [`Backing::resident`].
+    resident: Vec<u64>,
+    /// Where the backing goes on drop.
+    pool: &'static SparePool,
 }
 
 impl fmt::Debug for PhysMem {
@@ -77,17 +184,32 @@ impl fmt::Debug for PhysMem {
 impl PhysMem {
     /// Creates `size` bytes of zeroed DRAM at physical address `base`.
     ///
+    /// The storage of a dropped DRAM of the same size is reused when one
+    /// is spare; it was scrubbed on drop, so it reads zero like a fresh
+    /// allocation and no earlier machine's bytes survive (§5.1).
+    ///
     /// # Panics
     ///
     /// Panics if `size` is not page-aligned or `base + size` overflows.
     pub fn new(base: u64, size: usize) -> Self {
+        Self::new_in(&SPARES, base, size)
+    }
+
+    fn new_in(pool: &'static SparePool, base: u64, size: usize) -> Self {
         assert!(size % PAGE_SIZE == 0, "DRAM size must be page aligned");
         assert!(base.checked_add(size as u64).is_some(), "address overflow");
+        let Backing {
+            bytes,
+            written,
+            resident,
+        } = pool.take(size).unwrap_or_else(|| Backing::zeroed(size));
         PhysMem {
             base,
-            bytes: vec![0; size],
+            bytes,
             dirty: DirtyLog::default(),
-            written: vec![0; (size / PAGE_SIZE).div_ceil(64)],
+            written,
+            resident,
+            pool,
         }
     }
 
@@ -123,6 +245,7 @@ impl PhysMem {
             self.bytes[off..off + PAGE_SIZE].fill(0);
             self.dirty.record(pa, PAGE_SIZE);
             self.written[page] &= !bit;
+            self.resident[page] |= bit;
         }
         Ok(())
     }
@@ -261,6 +384,17 @@ impl PhysMem {
         // Conservative: the whole borrowed range counts as written.
         self.note_write(pa, off, len);
         Ok(&mut self.bytes[off..off + len])
+    }
+}
+
+impl Drop for PhysMem {
+    /// Hands the backing to the spare list, which scrubs it if it keeps it.
+    fn drop(&mut self) {
+        self.pool.give(Backing {
+            bytes: mem::take(&mut self.bytes),
+            written: mem::take(&mut self.written),
+            resident: mem::take(&mut self.resident),
+        });
     }
 }
 
@@ -656,6 +790,212 @@ mod tests {
                 .with_slice(BASE, PAGES * PAGE_SIZE, |s| s.iter().all(|&b| b == 0))
                 .unwrap();
             assert!(all_zero, "zero_page left data behind");
+        }
+    }
+
+    /// Address of a DRAM's backing bytes.
+    fn backing_ptr(mem: &PhysMem) -> usize {
+        mem.bytes.as_ptr() as usize
+    }
+
+    /// `(size, address)` of every spare `pool` holds.
+    fn spares(pool: &SparePool) -> Vec<(usize, usize)> {
+        pool.lock()
+            .iter()
+            .map(|s| (s.bytes.len(), s.bytes.as_ptr() as usize))
+            .collect()
+    }
+
+    /// The state a fresh allocation starts in: every byte zero, every
+    /// "written since last scrub" bit clear.
+    fn assert_like_new(mem: &PhysMem) {
+        assert!(mem.bytes.iter().all(|&b| b == 0), "old bytes survived");
+        assert!(mem.written.iter().all(|&w| w == 0), "page bit survived");
+    }
+
+    /// Applies one write of each kind that goes through the mutation
+    /// funnel. `slice_mut` alone writes page 4, so a missed page bit there
+    /// leaves it unscrubbed.
+    fn poison(shared: &SharedMem, base: u64) {
+        let page = PAGE_SIZE as u64;
+        shared.write(base + 3, b"secret").unwrap();
+        shared.write_u32(base + page + 8, 0xDEAD_BEEF).unwrap();
+        shared.write_u64(base + 2 * page - 4, u64::MAX).unwrap();
+        shared.fill(base + 3 * page, 17, 0x5A).unwrap();
+        shared
+            .write_guard()
+            .slice_mut(base + 4 * page + 100, 8)
+            .unwrap()
+            .fill(0xC3);
+        shared.write_guard().write_u32(base + 5 * page, 9).unwrap();
+    }
+
+    #[test]
+    fn dropped_dram_is_reused_scrubbed() {
+        static POOL: SparePool = SparePool::new();
+        let size = 6 * PAGE_SIZE;
+        let shared = SharedMem::new(PhysMem::new_in(&POOL, 0x1000, size));
+        poison(&shared, 0x1000);
+        let ptr = backing_ptr(&shared.read_guard());
+        drop(shared);
+        // The spare holds the backing, so no fresh allocation can land at
+        // its address: an equal pointer below proves reuse.
+        assert_eq!(spares(&POOL), vec![(size, ptr)]);
+        let mem = PhysMem::new_in(&POOL, 0x8000_0000, size);
+        assert_eq!(backing_ptr(&mem), ptr);
+        assert!(spares(&POOL).is_empty());
+        assert_like_new(&mem);
+        assert_eq!(mem.base(), 0x8000_0000);
+        assert_eq!(
+            mem.dirty()
+                .dirty_since(mem.dirty().mark(), 0x8000_0000, size),
+            DirtyVerdict::Clean
+        );
+        // Every page `poison` wrote stays counted as resident.
+        assert_eq!(mem.resident[0], 0b11_1111);
+    }
+
+    #[test]
+    fn zero_page_scrubs_count_as_resident_across_reuse() {
+        static POOL: SparePool = SparePool::new();
+        let pages = MAX_SPARE_RESIDENT / PAGE_SIZE + 1;
+        let size = pages * PAGE_SIZE;
+        // First life: write and scrub every page but the last. Kept.
+        let mut mem = PhysMem::new_in(&POOL, 0, size);
+        for page in 0..pages - 1 {
+            let pa = (page * PAGE_SIZE) as u64;
+            mem.write_u32(pa, 1).unwrap();
+            mem.zero_page(pa).unwrap();
+        }
+        let ptr = backing_ptr(&mem);
+        drop(mem);
+        assert_eq!(spares(&POOL), vec![(size, ptr)]);
+        // Second life writes only the last page, but the backing now has
+        // more resident pages than the cap: it is released, not kept.
+        let mut mem = PhysMem::new_in(&POOL, 0, size);
+        assert_eq!(backing_ptr(&mem), ptr);
+        mem.write_u32(((pages - 1) * PAGE_SIZE) as u64, 1).unwrap();
+        drop(mem);
+        assert!(spares(&POOL).is_empty());
+    }
+
+    #[test]
+    fn dram_over_the_resident_cap_is_released() {
+        static POOL: SparePool = SparePool::new();
+        let pages = MAX_SPARE_RESIDENT / PAGE_SIZE;
+        let mut mem = PhysMem::new_in(&POOL, 0, (pages + 1) * PAGE_SIZE);
+        for page in 0..pages {
+            mem.write_u32((page * PAGE_SIZE) as u64, 1).unwrap();
+        }
+        // Exactly at the cap: kept.
+        drop(mem);
+        assert_eq!(spares(&POOL).len(), 1);
+        let mut mem = PhysMem::new_in(&POOL, 0, (pages + 1) * PAGE_SIZE);
+        mem.write_u32((pages * PAGE_SIZE) as u64, 1).unwrap();
+        drop(mem);
+        assert!(spares(&POOL).is_empty());
+    }
+
+    #[test]
+    fn spares_never_change_size() {
+        static POOL: SparePool = SparePool::new();
+        let mut mem = PhysMem::new_in(&POOL, 0, 2 * PAGE_SIZE);
+        mem.fill(0, 2 * PAGE_SIZE, 0xFF).unwrap();
+        let ptr = backing_ptr(&mem);
+        drop(mem);
+        for pages in [1, 3] {
+            let other = PhysMem::new_in(&POOL, 0, pages * PAGE_SIZE);
+            assert_ne!(backing_ptr(&other), ptr);
+            assert_eq!(other.size(), pages * PAGE_SIZE);
+            assert_eq!(spares(&POOL)[0], (2 * PAGE_SIZE, ptr));
+            // Dropping `other` adds a spare of its own size.
+        }
+        let mut sizes: Vec<usize> = spares(&POOL).iter().map(|s| s.0).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE]);
+    }
+
+    #[test]
+    fn full_spare_list_keeps_a_fixed_number() {
+        static POOL: SparePool = SparePool::new();
+        // Two of one size: the second finds its size taken.
+        let a = PhysMem::new_in(&POOL, 0, PAGE_SIZE);
+        let b = PhysMem::new_in(&POOL, 0, PAGE_SIZE);
+        let kept = backing_ptr(&a);
+        drop(a);
+        drop(b);
+        assert_eq!(spares(&POOL), vec![(PAGE_SIZE, kept)]);
+        // Live at once, then dropped: one more size than there are slots.
+        let mems: Vec<PhysMem> = (1..=MAX_SPARES + 1)
+            .map(|pages| PhysMem::new_in(&POOL, 0, pages * PAGE_SIZE))
+            .collect();
+        drop(mems);
+        let held = spares(&POOL);
+        assert_eq!(held.len(), MAX_SPARES);
+        assert!(held.contains(&(PAGE_SIZE, kept)));
+        assert!(held.iter().all(|&(size, _)| size <= MAX_SPARES * PAGE_SIZE));
+    }
+
+    #[test]
+    fn threads_never_see_each_others_bytes() {
+        static POOL: SparePool = SparePool::new();
+        const BASE: u64 = 0x4000;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u8 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        let shared = SharedMem::new(PhysMem::new_in(&POOL, BASE, 6 * PAGE_SIZE));
+                        assert_like_new(&shared.read_guard());
+                        poison(&shared, BASE);
+                        shared.write(BASE + 7, &[t + 1; 64]).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(spares(&POOL).len(), 1);
+        assert_like_new(&PhysMem::new_in(&POOL, BASE, 6 * PAGE_SIZE));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn reused_dram_is_zero_after_any_write_mix(
+            ops in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), (proptest::prelude::any::<u64>(), proptest::prelude::any::<u16>())),
+                0..40,
+            ),
+        ) {
+            static POOL: SparePool = SparePool::new();
+            const PAGES: usize = 5;
+            const BASE: u64 = 0x10_0000;
+            let shared = SharedMem::new(PhysMem::new_in(&POOL, BASE, PAGES * PAGE_SIZE));
+            for &(kind, (at, len)) in &ops {
+                let off = at % (PAGES * PAGE_SIZE) as u64;
+                let len = (len as usize % (2 * PAGE_SIZE)).min(PAGES * PAGE_SIZE - off as usize);
+                let byte = (at >> 56) as u8 | 1;
+                let pa = BASE + off;
+                match kind % 6 {
+                    0 => shared.write(pa, &vec![byte; len]).unwrap(),
+                    1 => {
+                        let _ = shared.write_u32(pa, u32::from(byte) << 8 | 1);
+                    }
+                    2 => {
+                        let _ = shared.write_u64(pa, u64::from(byte) << 40 | 1);
+                    }
+                    3 => shared.fill(pa, len, byte).unwrap(),
+                    4 => shared.write_guard().slice_mut(pa, len).unwrap().fill(byte),
+                    _ => {
+                        let _ = shared.write_guard().write_u64(pa, u64::MAX);
+                    }
+                }
+            }
+            let ptr = backing_ptr(&shared.read_guard());
+            drop(shared);
+            let mem = PhysMem::new_in(&POOL, BASE, PAGES * PAGE_SIZE);
+            assert_eq!(backing_ptr(&mem), ptr);
+            assert_like_new(&mem);
         }
     }
 

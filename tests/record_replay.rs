@@ -152,6 +152,62 @@ fn second_replayer_on_one_machine_gets_scrubbed_frames() {
     }
 }
 
+/// A new machine may get a dropped machine's DRAM storage back (§2). It
+/// must read zero before its first replay, whatever the old machine left
+/// there (§5.1), and replay bit-identically on it.
+#[test]
+fn new_machine_never_sees_a_dropped_machines_dram() {
+    const POISON: u8 = 0xA5;
+    for (sku, env_kind) in [
+        (&sku::MALI_G71, EnvKind::UserLevel),
+        (&sku::V3D_RPI4, EnvKind::KernelLevel),
+    ] {
+        let dev = Machine::new(sku, 31);
+        let mut harness = RecordHarness::new(dev).unwrap();
+        let recs = harness
+            .record_inference(&models::mnist(), Granularity::WholeNn, 32)
+            .unwrap();
+        let net = recs.net.clone();
+        let bytes = recs.recordings[0].to_bytes();
+        harness.finish();
+        let input = random_input(net.input_len(), 33);
+        let reference = cpu_ref::cpu_infer(&net, &input);
+
+        let tables = match sku.family {
+            gr_gpu::sku::GpuFamilyKind::Mali => 2,
+            gr_gpu::sku::GpuFamilyKind::V3d => gr_gpu::v3d::pgtable::PT_PAGES,
+        };
+        let size =
+            (recs.recordings[0].meta.peak_mapped_pages as usize + tables + 16) * gr_soc::PAGE_SIZE;
+        let replay_on = |machine: Machine| {
+            let env = Environment::new(env_kind, machine).unwrap();
+            let mut replayer = Replayer::new(env);
+            let id = replayer.load_bytes(&bytes).unwrap();
+            let mut io = ReplayIo::for_recording(replayer.recording(id));
+            io.set_input_f32(0, &input).unwrap();
+            replayer.replay(id, &mut io).unwrap();
+            replayer.cleanup();
+            io.output_f32(0).unwrap()
+        };
+        let base = gr_gpu::machine::DRAM_BASE;
+
+        // Machine A replays, then every byte of its DRAM is poisoned
+        // before the last handle to it goes.
+        let a = Machine::with_dram(sku, 34, size);
+        assert_eq!(replay_on(a.clone()), reference, "{}: A", sku.name);
+        a.mem().fill(base, size, POISON).unwrap();
+        drop(a);
+
+        let b = Machine::with_dram(sku, 35, size);
+        let zero = b
+            .mem()
+            .with_slice(base, size, |s| s.iter().all(|&x| x == 0))
+            .unwrap();
+        assert!(zero, "{}: B's DRAM holds A's bytes", sku.name);
+        assert_eq!(replay_on(b), reference, "{}: B", sku.name);
+    }
+}
+
 /// Per-layer recordings replayed in sequence in one session reproduce the
 /// whole network (paper Fig. 4).
 #[test]
